@@ -16,20 +16,11 @@
 // non-zero if any warm replan exceeds N milliseconds — the CI
 // planner-scaling gate.
 //
-// With -paths it runs the path-engine benchmark: a fixed point-to-point
-// K-shortest query workload through the reference engine and each
-// goal-directed engine (ALT, bidirectional), cross-checked for byte
-// equality, with the result written as JSON (default BENCH_paths.json).
-// -pathgate makes the run exit non-zero if any answer mismatches or a
-// goal-directed engine loses to reference on the 200-node Waxman — the
-// CI path-engine gate.
-//
 // Usage:
 //
 //	response-bench [-quick]
 //	response-bench -gen [-quick] [-genout BENCH_gen.json]
 //	response-bench -warm [-warmspec fattree:14] [-warmgate 2000]
-//	response-bench -paths [-pathspec waxman:200] [-pathgate]
 package main
 
 import (
@@ -53,10 +44,6 @@ func main() {
 	tracebench := flag.Bool("trace", false, "run the trace-store ingest/query benchmark instead of the figure suite")
 	traceout := flag.String("traceout", "BENCH_trace.json", "output path of the -trace benchmark JSON")
 	traceevents := flag.Int("traceevents", 1<<20, "with -trace, synthetic stream size in events (-quick divides by 8)")
-	paths := flag.Bool("paths", false, "run the path-engine K-shortest benchmark instead of the figure suite")
-	pathspec := flag.String("pathspec", "fattree:6,waxman:50,waxman:200", "comma-separated family:size list for -paths")
-	pathout := flag.String("pathout", "BENCH_paths.json", "output path of the -paths benchmark JSON")
-	pathgate := flag.Bool("pathgate", false, "with -paths, exit non-zero if a goal-directed engine loses to reference on the 200-node Waxman (or any answer mismatches)")
 	flag.Parse()
 
 	if *gen {
@@ -65,10 +52,6 @@ func main() {
 	}
 	if *warm {
 		runWarmBench(*warmspec, *warmgate)
-		return
-	}
-	if *paths {
-		runPathBench(*pathspec, *pathout, *pathgate)
 		return
 	}
 	if *tracebench {
@@ -199,30 +182,6 @@ func runTraceBench(events int, out string) {
 	fmt.Printf("\nwrote %s in %s\n", out, time.Since(start).Round(time.Millisecond))
 	if !bench.CriticalTopIsBurst {
 		log.Fatal("critical-path query did not rank a burst link first")
-	}
-}
-
-// runPathBench executes the path-engine K-shortest benchmark, writes
-// the JSON artifact, and with -pathgate exits non-zero on any answer
-// mismatch or if a goal-directed engine loses to the reference engine
-// on the 200-node Waxman instance — the CI path-engine gate.
-func runPathBench(spec, out string, gate bool) {
-	start := time.Now()
-	bench, err := experiments.RunPathBench(spec, 0, 0)
-	fail(err)
-	bench.Print(os.Stdout)
-	f, err := os.Create(out)
-	fail(err)
-	fail(bench.WriteJSON(f))
-	fail(f.Close())
-	fmt.Printf("\nwrote %s in %s\n", out, time.Since(start).Round(time.Millisecond))
-	if n := bench.Mismatches(); n > 0 {
-		log.Fatalf("path-engine bench found %d cross-check mismatch(es)", n)
-	}
-	if gate {
-		if s := bench.WorstSpeedup("waxman", 200); s > 0 && s < 1 {
-			log.Fatalf("goal-directed engine lost to reference on waxman-200: %.2fx", s)
-		}
 	}
 }
 

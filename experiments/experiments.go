@@ -59,12 +59,6 @@ type (
 	TraceBench = iexp.TraceBench
 	// WarmPoint is one instance of a WarmBench.
 	WarmPoint = iexp.WarmPoint
-	// PathBench is the path-engine benchmark: a fixed K-shortest query
-	// workload through the reference engine versus the goal-directed
-	// ones, every answer cross-checked for byte equality.
-	PathBench = iexp.PathBench
-	// PathPoint is one instance × engine cell of a PathBench.
-	PathPoint = iexp.PathPoint
 	// Point is one (x, y) sample of a result curve.
 	Point = stats.Point
 )
@@ -95,17 +89,6 @@ func RunGeneratedSweep(opts GenSweepOpts) (GenSweep, error) {
 // gates on WarmBench.MaxWarmMs.
 func RunWarmBench(spec string) (WarmBench, error) {
 	return iexp.RunWarmBench(spec)
-}
-
-// RunPathBench times a fixed point-to-point K-shortest workload on
-// each instance of a "family:size[,…]" spec through the reference path
-// engine and each goal-directed engine (ALT, bidirectional),
-// cross-checking every answer for byte equality. maxQueries and
-// repeats ≤ 0 select defaults (120 queries, best of 3 passes).
-// cmd/response-bench -paths drives it and records BENCH_paths.json; CI
-// gates on PathBench.WorstSpeedup and PathBench.Mismatches.
-func RunPathBench(spec string, maxQueries, repeats int) (PathBench, error) {
-	return iexp.RunPathBench(spec, maxQueries, repeats)
 }
 
 // RunTraceBench renders a synthetic events-sized incident stream

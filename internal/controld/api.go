@@ -581,7 +581,7 @@ func (s *Server) handleTraceEvents(w http.ResponseWriter, r *http.Request, t *te
 
 // handleMetrics serves the Prometheus text page: every tenant's
 // runtime counter families (tenant-labeled), then the trace store's
-// own bookkeeping.
+// own bookkeeping, then the event lines its ingest dropped.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ts := s.reg.all()
 	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
@@ -593,7 +593,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if err := metrics.WritePrometheus(w, sets); err != nil {
 		return
 	}
-	s.store.WritePrometheus(w) //nolint:errcheck // response writer
+	if err := s.store.WritePrometheus(w); err != nil {
+		return
+	}
+	const name = "response_controld_trace_dropped_total"
+	fmt.Fprintf(w, "# HELP %s Event lines the trace store's ingest lost to a full buffer.\n# TYPE %s counter\n%s %d\n",
+		name, name, name, s.hub.droppedBy(s.ingest))
 }
 
 func (s *Server) handleTenantEvents(w http.ResponseWriter, r *http.Request, t *tenant) {

@@ -92,6 +92,9 @@ type Server struct {
 	store *tracestore.Store
 	mux   *http.ServeMux
 
+	// ingest is the trace store's hub subscription; its drop count is
+	// served on /metrics.
+	ingest *subscriber
 	// ingestDone closes when the trace-store ingest goroutine has
 	// drained its subscription (after hub.close).
 	ingestDone chan struct{}
@@ -117,6 +120,7 @@ func New(opts Opts) *Server {
 	// same back-pressure answer every subscriber gets), but it can
 	// never stall a tenant loop.
 	sub := s.hub.subscribe("", 4096)
+	s.ingest = sub
 	go func() {
 		defer close(s.ingestDone)
 		for line := range sub.ch {

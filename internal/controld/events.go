@@ -9,7 +9,8 @@ import (
 // Each tenant runtime owns a trace.EventWriter writing into a
 // tenantTee; the tee stamps every line with the tenant name and
 // publishes it. Subscribers hold a bounded channel: a slow consumer
-// loses events (counted), never stalls a tenant's simulation loop.
+// loses events (counted per subscriber; the trace store's losses are
+// exported on /metrics), never stalls a tenant's simulation loop.
 type hub struct {
 	mu     sync.Mutex
 	subs   map[*subscriber]struct{}
@@ -79,6 +80,13 @@ func (h *hub) publish(tenant string, line []byte) {
 			sub.dropped++
 		}
 	}
+}
+
+// droppedBy returns how many lines sub has lost to a full buffer.
+func (h *hub) droppedBy(sub *subscriber) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return sub.dropped
 }
 
 // tenantTee adapts a hub to the io.Writer a trace.EventWriter needs:

@@ -91,13 +91,6 @@ type PlanOpts struct {
 	// whose seed misses its tolerance fall back to the cold search, so
 	// warm planning never changes feasibility, only speed.
 	Warm *WarmStart
-	// PathEngine selects the point-to-point shortest-path solver for
-	// every search the plan issues (default: the reference Dijkstra).
-	// The goal-directed engines are certified-exact — they fall back to
-	// the reference engine on any query whose answer they cannot prove
-	// identical — so the resulting plan is bit-for-bit the same under
-	// every choice; only planning speed changes.
-	PathEngine spf.Engine
 	// Trace, when non-nil, receives human-readable planner tracing
 	// (per-round exclusion and sizing decisions).
 	Trace io.Writer
@@ -245,7 +238,7 @@ func PlanContext(ctx context.Context, t *topo.Topology, opts PlanOpts) (*Tables,
 	_, aonRouting, err := mcf.OptimalSubsetContext(ctx, t, lowDemands, opts.Model, mcf.OptimalOpts{
 		RandomRestarts: opts.RandomRestarts,
 		Seed:           opts.Seed,
-		Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil, Engine: opts.PathEngine},
+		Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil},
 		Check:          check,
 		Warm:           opts.Warm.stage(-1),
 	})
@@ -270,7 +263,7 @@ func PlanContext(ctx context.Context, t *topo.Topology, opts PlanOpts) (*Tables,
 	// ---- REsPoNse-lat (§4.1 constraint 4). ----
 	if opts.Beta > 0 {
 		tables.Variant = "REsPoNse-lat"
-		if err := enforceLatencyBound(t, tables, opts, bounds); err != nil {
+		if err := enforceDelayBound(t, tables, opts, bounds); err != nil {
 			return nil, err
 		}
 	}
@@ -282,7 +275,7 @@ func PlanContext(ctx context.Context, t *topo.Topology, opts PlanOpts) (*Tables,
 	}
 
 	// ---- Failover paths (§4.3). ----
-	planFailover(t, tables, opts.PathEngine)
+	planFailover(t, tables)
 	opts.emit("failover", -1, rounds+2, total)
 
 	if err := tables.Validate(); err != nil {
@@ -313,13 +306,13 @@ func delayBounds(t *topo.Topology, nodes []topo.NodeID, beta float64) (map[[2]to
 	return out, nil
 }
 
-// enforceLatencyBound swaps always-on paths violating the (1+β)·OSPF
+// enforceDelayBound swaps always-on paths violating the (1+β)·OSPF
 // delay bound for the cheapest bounded alternative. With the bound
 // already enforced inside the subset search this is a safety net for
 // paths produced by other plan stages. The bounds map is the
 // delayBounds precomputation, shared with the subset-search check so
 // the OSPF reference paths are solved once per plan.
-func enforceLatencyBound(t *topo.Topology, tables *Tables, opts PlanOpts,
+func enforceDelayBound(t *topo.Topology, tables *Tables, opts PlanOpts,
 	bounds map[[2]topo.NodeID]float64) error {
 	active := alwaysOnElements(t, tables)
 	ospf := spf.Options{Weight: spf.InvCap()}
@@ -340,7 +333,7 @@ func enforceLatencyBound(t *topo.Topology, tables *Tables, opts PlanOpts,
 		}
 		// Candidate replacement: among the latency-k-shortest paths
 		// within the bound, take the one activating the least new power.
-		cands := spf.KShortest(t, k[0], k[1], 8, spf.Options{Engine: opts.PathEngine})
+		cands := spf.KShortest(t, k[0], k[1], 8, spf.Options{})
 		var best topo.Path
 		bestCost := math.Inf(1)
 		for _, c := range cands {
@@ -446,7 +439,7 @@ func onDemandStress(ctx context.Context, t *topo.Topology, tables *Tables, opts 
 	// unavailable) — and size it near the largest routable load while
 	// avoiding the excluded links, derated to 80 % for slack.
 	deltaMax := mcf.MaxFeasibleScale(t, shape, mcf.RouteOpts{
-		MaxUtil: opts.MaxUtil, Avoid: avoid, Engine: opts.PathEngine,
+		MaxUtil: opts.MaxUtil, Avoid: avoid,
 	}, 0.05)
 	sizing := traffic.Uniform(opts.Nodes, opts.Epsilon)
 	if deltaMax > 0 {
@@ -467,7 +460,7 @@ func onDemandStress(ctx context.Context, t *topo.Topology, tables *Tables, opts 
 		RandomRestarts: opts.RandomRestarts,
 		Seed:           opts.Seed + 1,
 		KeepOn:         tables.AlwaysOnSet,
-		Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil, Avoid: avoid, Engine: opts.PathEngine},
+		Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil, Avoid: avoid},
 		Warm:           opts.Warm.stage(round),
 	})
 	if err != nil {
@@ -481,7 +474,7 @@ func onDemandStress(ctx context.Context, t *topo.Topology, tables *Tables, opts 
 			RandomRestarts: opts.RandomRestarts,
 			Seed:           opts.Seed + 1,
 			KeepOn:         tables.AlwaysOnSet,
-			Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil, Engine: opts.PathEngine},
+			Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil},
 		})
 		if err != nil {
 			return nil, err
@@ -503,7 +496,7 @@ func onDemandSolver(ctx context.Context, t *topo.Topology, tables *Tables, opts 
 		RandomRestarts: opts.RandomRestarts,
 		Seed:           opts.Seed + int64(round)*13,
 		KeepOn:         tables.AlwaysOnSet,
-		Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil, Avoid: avoid, Engine: opts.PathEngine},
+		Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil, Avoid: avoid},
 		Warm:           opts.Warm.stage(round),
 	})
 	if err != nil {
@@ -536,7 +529,7 @@ func onDemandOSPF(t *topo.Topology, tables *Tables, round int) (map[[2]topo.Node
 // the peak is derated step-wise until the packer finds a routing; the
 // resulting table is designed for the largest k-routable share of peak.
 func onDemandHeuristic(t *topo.Topology, tables *Tables, opts PlanOpts) (map[[2]topo.NodeID]topo.Path, error) {
-	cands := mcf.CandidatePathsEngine(t, opts.PeakTM.Demands(), 5, opts.PathEngine)
+	cands := mcf.CandidatePaths(t, opts.PeakTM.Demands(), 5)
 	var lastErr error
 	for _, derate := range []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2} {
 		_, routing, err := mcf.KShortestSubset(t, opts.PeakTM.Scale(derate).Demands(),
@@ -571,12 +564,11 @@ func pathsByPair(tables *Tables, r *mcf.Routing) (map[[2]topo.NodeID]topo.Path, 
 // pair's always-on and on-demand paths (§4.3): strictly disjoint when
 // the graph allows it, otherwise the minimum-overlap path via a heavy
 // penalty on reused links.
-func planFailover(t *topo.Topology, tables *Tables, eng spf.Engine) {
+func planFailover(t *topo.Topology, tables *Tables) {
 	ws := spf.NewWorkspace()
 	used := make([]bool, t.NumLinks())
 	avoidUsed := spf.Options{
-		Avoid:  func(a topo.Arc) bool { return used[a.Link] },
-		Engine: eng,
+		Avoid: func(a topo.Arc) bool { return used[a.Link] },
 	}
 	penalizeUsed := spf.Options{
 		Weight: func(a topo.Arc) float64 {
@@ -586,8 +578,6 @@ func planFailover(t *topo.Topology, tables *Tables, eng spf.Engine) {
 			}
 			return w
 		},
-		Engine:       eng,
-		LatencyBound: true,
 	}
 	for _, k := range tables.PairKeys() {
 		ps := tables.Pairs[k]
@@ -638,4 +628,3 @@ func incrementalPathWatts(t *topo.Topology, m power.Model, active *topo.ActiveSe
 	}
 	return w
 }
-

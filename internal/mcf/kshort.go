@@ -24,33 +24,19 @@ type KShortOpts struct {
 	// Paths, when non-nil, supplies precomputed candidates (keyed by
 	// [O,D]); otherwise Yen's algorithm runs per pair.
 	Paths map[[2]topo.NodeID][]topo.Path
-	// Engine selects the path solver for the Yen runs (certified-exact;
-	// see spf.Engine).
-	Engine spf.Engine
 }
 
 // CandidatePaths precomputes the k shortest latency paths for every
 // demand pair; heavy topologies (large fat-trees) should compute this
 // once and reuse it across intervals.
 func CandidatePaths(t *topo.Topology, demands []traffic.Demand, k int) map[[2]topo.NodeID][]topo.Path {
-	return CandidatePathsEngine(t, demands, k, spf.EngineReference)
-}
-
-// CandidatePathsEngine is CandidatePaths through a selectable path
-// engine. All engines return identical candidates (the goal-directed
-// ones are certified-exact); the choice only changes how fast the Yen
-// runs go. A single workspace is reused across pairs so the engine's
-// landmark and adaptive-bailout state carries over.
-func CandidatePathsEngine(t *topo.Topology, demands []traffic.Demand, k int, eng spf.Engine) map[[2]topo.NodeID][]topo.Path {
 	out := make(map[[2]topo.NodeID][]topo.Path)
-	ws := spf.NewWorkspace()
-	opts := spf.Options{Engine: eng}
 	for _, d := range demands {
 		key := [2]topo.NodeID{d.O, d.D}
 		if _, done := out[key]; done || d.O == d.D {
 			continue
 		}
-		out[key] = ws.KShortest(t, d.O, d.D, k, opts)
+		out[key] = spf.KShortest(t, d.O, d.D, k, spf.Options{})
 	}
 	return out
 }
@@ -70,7 +56,7 @@ func KShortestSubset(t *topo.Topology, demands []traffic.Demand, m power.Model,
 	}
 	cands := opts.Paths
 	if cands == nil {
-		cands = CandidatePathsEngine(t, demands, opts.K, opts.Engine)
+		cands = CandidatePaths(t, demands, opts.K)
 	}
 	active := topo.AllOff(t)
 	if opts.KeepOn != nil {

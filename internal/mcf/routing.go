@@ -155,10 +155,6 @@ type RouteOpts struct {
 	// LoadPenalty steers paths away from loaded arcs: the weight is
 	// multiplied by (1 + LoadPenalty·util). Default 3.
 	LoadPenalty float64
-	// Engine selects the point-to-point path solver. Goal-directed
-	// engines are certified-exact (see spf.Engine): routing results are
-	// identical to the reference engine under every choice.
-	Engine spf.Engine
 }
 
 func (o *RouteOpts) defaults() {
@@ -263,16 +259,7 @@ func loadAwareOptions(opts RouteOpts, load []float64, rate *float64) spf.Options
 			return base(a) * (1 + opts.LoadPenalty*util)
 		}
 	}
-	return spf.Options{
-		Weight: w,
-		Active: opts.Active,
-		Avoid:  opts.Avoid,
-		Engine: opts.Engine,
-		// The load penalty only inflates the base weight (factor ≥ 1),
-		// so with the default latency base the landmark latency bounds
-		// stay admissible.
-		LatencyBound: opts.Weight == nil,
-	}
+	return spf.Options{Weight: w, Active: opts.Active, Avoid: opts.Avoid}
 }
 
 // Feasible reports whether all demands fit on the active subgraph.

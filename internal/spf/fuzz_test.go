@@ -1,10 +1,11 @@
 package spf_test
 
-// FuzzKShortestEngines cross-checks the goal-directed engines against
-// the reference on mutated generated topologies, including ones whose
-// active subset is disconnected: for arbitrary (family, size, seed,
-// link knockout, query) tuples the engines must not panic and must
-// return exactly the reference's paths — or the same "no path" verdict.
+// FuzzKShortest drives Yen's algorithm over mutated generated
+// topologies, including ones whose active subset is disconnected: for
+// arbitrary (family, size, seed, link knockout, query) tuples it must
+// not panic, every returned path must be a simple o→d path over active
+// elements, weights must never decrease with no path repeated, and the
+// "no path" verdict must agree with ShortestPath.
 
 import (
 	"math/rand"
@@ -15,7 +16,7 @@ import (
 	"response/internal/topogen"
 )
 
-func FuzzKShortestEngines(f *testing.F) {
+func FuzzKShortest(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(4), uint16(0), uint16(3), uint8(3), uint64(0))
 	f.Add(int64(2), uint8(1), uint8(20), uint16(2), uint16(9), uint8(5), uint64(0x5a5a))
 	f.Add(int64(3), uint8(2), uint8(8), uint16(1), uint16(4), uint8(2), uint64(0xffff))
@@ -43,11 +44,11 @@ func FuzzKShortestEngines(f *testing.F) {
 		}
 		g := inst.Topo
 		opts := spf.Options{}
+		active := topo.AllOn(g)
 		if knockout != 0 {
 			// Knock links out without re-enforcing invariants: the
 			// active subgraph may be disconnected, which is the point.
 			rng := rand.New(rand.NewSource(int64(knockout)))
-			active := topo.AllOn(g)
 			for l := range active.Link {
 				if rng.Intn(4) == 0 {
 					active.Link[l] = false
@@ -65,24 +66,39 @@ func FuzzKShortestEngines(f *testing.F) {
 			t.Skip()
 		}
 		kk := 1 + int(k%6)
-		ref := spf.KShortest(g, o, d, kk, opts)
-		refP, refOK := spf.ShortestPath(g, o, d, opts)
-		for _, eng := range []spf.Engine{spf.EngineALT, spf.EngineBidirectional} {
-			sub := opts
-			sub.Engine = eng
-			ws := spf.NewWorkspace()
-			gotP, gotOK := ws.ShortestPath(g, o, d, sub)
-			if gotOK != refOK {
-				t.Fatalf("engine %v %v→%v: verdict %v vs reference %v", eng, o, d, gotOK, refOK)
+		paths := spf.KShortest(g, o, d, kk, opts)
+		_, ok := spf.ShortestPath(g, o, d, opts)
+		if ok != (len(paths) > 0) {
+			t.Fatalf("%v→%v k=%d: ShortestPath verdict %v but KShortest returned %d paths", o, d, kk, ok, len(paths))
+		}
+		if len(paths) > kk {
+			t.Fatalf("%v→%v: %d paths for k=%d", o, d, len(paths), kk)
+		}
+		seen := map[string]bool{}
+		prev := 0.0
+		for i, p := range paths {
+			if p.Empty() {
+				t.Fatalf("%v→%v: path %d is empty", o, d, i)
 			}
-			if refOK && !samePaths([]topo.Path{refP}, []topo.Path{gotP}) {
-				t.Fatalf("engine %v %v→%v: path diverged\nref %v\ngot %v", eng, o, d, refP.Arcs, gotP.Arcs)
+			if err := p.Check(g); err != nil {
+				t.Fatalf("%v→%v: path %d: %v", o, d, i, err)
 			}
-			got := ws.KShortest(g, o, d, kk, sub)
-			if !samePaths(ref, got) {
-				t.Fatalf("engine %v %v→%v k=%d: K-shortest diverged\nref %v\ngot %v",
-					eng, o, d, kk, pathArcs(ref), pathArcs(got))
+			if p.Origin(g) != o || p.Destination(g) != d {
+				t.Fatalf("%v→%v: path %d runs %v→%v", o, d, i, p.Origin(g), p.Destination(g))
 			}
+			if !p.ActiveUnder(g, active) {
+				t.Fatalf("%v→%v: path %d uses a switched-off element: %v", o, d, i, p.Arcs)
+			}
+			key := p.Key()
+			if seen[key] {
+				t.Fatalf("%v→%v: path %d repeats %v", o, d, i, p.Arcs)
+			}
+			seen[key] = true
+			w := spf.PathWeight(g, p, opts)
+			if w < prev-1e-12*(1+prev) {
+				t.Fatalf("%v→%v: path %d weight %v after %v", o, d, i, w, prev)
+			}
+			prev = w
 		}
 	})
 }

@@ -12,20 +12,14 @@
 // perform no per-search allocations; the package-level functions below
 // draw workspaces from a pool for callers that don't manage their own.
 //
-// Point-to-point queries can additionally run through a goal-directed
-// engine (Options.Engine: EngineALT over cached landmark lower bounds,
-// or EngineBidirectional). Both are certified-exact: a query either
-// proves its answer byte-identical to the reference engine's — same
-// arcs, same tie choices — or transparently falls back to it, so the
-// engine selection never changes an output, only how fast it is
-// computed. Yen's algorithm adds landmark-based dominance pruning of
-// spur queries under the same contract. See goal.go for the
-// certification argument and landmarks.go for landmark selection.
+// Dijkstra is the only engine. Goal-directed search (ALT A*,
+// bidirectional) pays only when its lower bounds are tight, and the
+// planner's load-aware weights and tie-heavy fat-trees keep them loose:
+// measured end to end, neither was faster (DESIGN.md §12).
 package spf
 
 import (
 	"math"
-	"sort"
 
 	"response/internal/topo"
 )
@@ -61,18 +55,6 @@ type Options struct {
 	// Avoid, when non-nil, excludes arcs for which it returns true
 	// (used e.g. to skip high-stress links or failed elements).
 	Avoid func(a topo.Arc) bool
-	// Engine selects the point-to-point solver (see goal.go). The zero
-	// value is the reference engine; the goal-directed engines are
-	// certified-exact: they return a result only when it is provably
-	// identical to the reference engine's and silently fall back
-	// otherwise, so the choice can never change an output.
-	Engine Engine
-	// LatencyBound declares that Weight(a) ≥ a.Latency for every arc,
-	// which makes the latency-based landmark lower bounds admissible
-	// under Weight. Automatically true when Weight is nil (the default
-	// weight is exactly latency); required for EngineALT and for Yen
-	// dominance pruning to engage under a custom weight.
-	LatencyBound bool
 }
 
 func (o Options) weight() WeightFunc {
@@ -239,51 +221,12 @@ func (ws *Workspace) KShortest(t *topo.Topology, o, d topo.NodeID, k int, opts O
 	seq := 0
 	seen := map[string]bool{first.Key(): true}
 
-	// Dominance pruning (goal-directed engines only): a spur query whose
-	// root weight plus an admissible lower bound on the spur's remaining
-	// distance provably exceeds the r-th lightest pending candidate —
-	// where r is the number of paths still to emit — can never produce a
-	// popped candidate, so the query is skipped outright. The skipped
-	// candidates are exactly ones the reference engine pushes but never
-	// pops, and seq tie-breaking is relative, so the emitted paths and
-	// their order are untouched.
-	prune := opts.Engine != EngineReference && opts.latencyBounded()
-	var lm *Landmarks
-	if prune {
-		lm = ws.ensureLM(t)
-		prune = lm.Count() > 0
-	}
-	w := opts.weight()
-	var boundScratch []float64
-
 	for len(paths) < k {
 		prev := paths[len(paths)-1]
 		prevNodes := prev.Nodes(t)
-		// The per-round prune bound. Candidates pushed later in the
-		// round only tighten the true bound, so computing it once at
-		// round start is conservative.
-		bound := math.Inf(1)
-		if prune {
-			if r := k - len(paths); len(cands) >= r {
-				boundScratch = boundScratch[:0]
-				for j := range cands {
-					boundScratch = append(boundScratch, cands[j].w)
-				}
-				sort.Float64s(boundScratch)
-				bound = boundScratch[r-1]
-			}
-		}
-		margin := 1e-9 * (1 + bound)
-		rootW := 0.0
 		// Spur from each node of the previous path.
 		for i := 0; i < len(prev.Arcs); i++ {
 			spurNode := prevNodes[i]
-			if i > 0 {
-				rootW += w(t.Arc(prev.Arcs[i-1]))
-			}
-			if !math.IsInf(bound, 1) && rootW+targetBound(t, lm, spurNode, d) > bound+margin {
-				continue
-			}
 			rootArcs := prev.Arcs[:i]
 			banned := map[topo.ArcID]bool{}
 			// Ban the next arc of every accepted path sharing this root.

@@ -26,33 +26,6 @@ type Workspace struct {
 	heap    []heapEntry
 	scratch []topo.ArcID // path reversal buffer
 	src     topo.NodeID
-
-	// Goal-directed state (see goal.go). The landmark table is cached
-	// per topology pointer; the h-cache memoizes HBound per node per
-	// query epoch; the b* arrays are the backward half of bidirectional
-	// searches. All lazily allocated: a workspace used only through the
-	// reference engine never touches them.
-	lmTopo *topo.Topology
-	lm     *Landmarks
-	hval   []float64
-	hstamp []uint64
-	htgt   topo.NodeID
-	hlm    *Landmarks
-	hepoch uint64
-
-	bstamp   []uint64
-	bdist    []float64
-	bprev    []topo.ArcID // arc leaving the node toward the target
-	bdone    []bool
-	bheap    []heapEntry
-	btouched []topo.NodeID // nodes labeled by the backward search
-
-	// Adaptive bailout counters: when the certified goal-directed
-	// solver keeps falling back (tie-heavy topology), stop paying for
-	// the failed attempts. Reset when the workspace changes topology.
-	goalTopo  *topo.Topology
-	goalTries int
-	goalFails int
 }
 
 // heapEntry is one pending heap slot. Entries are pushed eagerly on
@@ -204,61 +177,6 @@ func (ws *Workspace) run(t *topo.Topology, src topo.NodeID, opts Options, target
 	}
 }
 
-// runReverse executes Dijkstra from src over the *reversed* graph
-// (t.In instead of t.Out), leaving dist[v] = shortest distance from v
-// to src under forward path semantics. Host tails are labeled but never
-// expanded, mirroring the forward rule that hosts terminate paths; used
-// to build the backward landmark tables.
-func (ws *Workspace) runReverse(t *topo.Topology, src topo.NodeID, opts Options) {
-	ws.begin(t.NumNodes())
-	ws.src = src
-	w := opts.weight()
-	nodes := t.Nodes()
-	arcs := t.Arcs()
-	active := opts.Active
-	avoid := opts.Avoid
-	if active != nil && nodes[src].Kind != topo.KindHost && !active.Router[src] {
-		return
-	}
-	ws.touch(src, 0, -1)
-	ws.push(src, 0)
-	for len(ws.heap) > 0 {
-		it := ws.pop()
-		u := it.node
-		if ws.done[u] {
-			continue
-		}
-		ws.done[u] = true
-		if nodes[u].Kind == topo.KindHost && u != src {
-			continue // hosts terminate paths
-		}
-		du := ws.dist[u]
-		for _, aid := range t.In(u) {
-			a := &arcs[aid]
-			v := a.From
-			if active != nil {
-				if !active.Link[a.Link] {
-					continue
-				}
-				if nodes[v].Kind != topo.KindHost && !active.Router[v] {
-					continue
-				}
-			}
-			if avoid != nil && avoid(*a) {
-				continue
-			}
-			wt := w(*a)
-			if math.IsInf(wt, 1) || wt < 0 {
-				continue
-			}
-			if nd := du + wt; nd < ws.distAt(v) {
-				ws.touch(v, nd, aid)
-				ws.push(v, nd)
-			}
-		}
-	}
-}
-
 // pathTo materializes the path from the last run's source to dst. The
 // single allocation is the returned arc slice, sized exactly.
 func (ws *Workspace) pathTo(t *topo.Topology, dst topo.NodeID) (topo.Path, bool) {
@@ -285,24 +203,9 @@ func (ws *Workspace) pathTo(t *topo.Topology, dst topo.NodeID) (topo.Path, bool)
 
 // ShortestPath is ShortestPath threaded through the workspace: an
 // early-exit Dijkstra whose only allocation is the returned path.
-//
-// When opts.Engine selects a goal-directed engine, the query first runs
-// through the certified ALT A* / bidirectional solver (goal.go); if
-// that run certifies itself tie-free its result is returned directly —
-// provably identical to the reference engine's — and otherwise the
-// reference Dijkstra below re-answers the query, so the engine choice
-// can never change an output.
 func (ws *Workspace) ShortestPath(t *topo.Topology, o, d topo.NodeID, opts Options) (topo.Path, bool) {
 	if o == d {
 		return topo.Path{}, true
-	}
-	if opts.Engine != EngineReference && ws.goalAllowed(t) {
-		if p, ok, certified := ws.goalPath(t, o, d, opts); certified {
-			ws.goalTries++
-			return p, ok
-		}
-		ws.goalTries++
-		ws.goalFails++
 	}
 	ws.run(t, o, opts, d)
 	return ws.pathTo(t, d)

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"response"
-	"response/internal/spf"
 	"response/internal/topo"
 	"response/internal/topogen"
 	"response/internal/traffic"
@@ -379,55 +378,4 @@ func rebuildWithoutNode0Links(inst *topogen.Instance) *topo.Topology {
 			src.Arc(l.AB).Latency)
 	}
 	return cut
-}
-
-// TestGeneratedCorpusDiffPathEngine is the path-engine proof harness:
-// on every corpus instance, the per-query differential oracle must
-// find the ALT and bidirectional engines byte-identical to the
-// reference engine (same verdicts, distances, arcs and candidate
-// emission order under every option shape), and a whole plan computed
-// through each goal-directed engine must have a fingerprint identical
-// to the reference plan's. Together with the pinned fingerprint tests
-// this proves the fast engines cannot change any output, only speed.
-func TestGeneratedCorpusDiffPathEngine(t *testing.T) {
-	engines := []struct {
-		eng  spf.Engine
-		name string
-	}{
-		{spf.EngineALT, response.PathEngineALT},
-		{spf.EngineBidirectional, response.PathEngineBidirectional},
-	}
-	n := 0
-	for _, spec := range corpus() {
-		for _, size := range spec.sizes {
-			for _, seed := range spec.seeds {
-				cfg := topogen.Config{Family: spec.family, Size: size, Seed: seed}
-				n++
-				t.Run(fmt.Sprintf("%s-%d-s%d", spec.family, size, seed), func(t *testing.T) {
-					t.Parallel()
-					inst, err := topogen.Generate(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, e := range engines {
-						rep := verify.DiffPathEngine(inst.Topo, inst.Endpoints, e.eng, 4, 48, seed)
-						if err := rep.Err(); err != nil {
-							t.Errorf("query oracle (%s): %v", e.name, err)
-						}
-					}
-					ref := planInstance(t, inst)
-					for _, e := range engines {
-						got := planInstance(t, inst, response.WithPathEngine(e.name))
-						if got.Fingerprint() != ref.Fingerprint() {
-							t.Errorf("engine %s changed the plan fingerprint: %016x vs %016x",
-								e.name, got.Fingerprint(), ref.Fingerprint())
-						}
-					}
-				})
-			}
-		}
-	}
-	if n < 28 {
-		t.Fatalf("corpus has %d instances, want >= 28", n)
-	}
 }

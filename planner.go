@@ -8,7 +8,6 @@ import (
 	"response/internal/core"
 	"response/internal/mcf"
 	"response/internal/power"
-	"response/internal/spf"
 )
 
 // An Option configures a Planner (or a single Plan call). The zero
@@ -21,34 +20,6 @@ type config struct {
 	warm       *Plan
 	warmStrict bool
 	warmTol    float64
-	pathEngine string
-	engineSet  bool
-}
-
-// Path engine names accepted by WithPathEngine.
-const (
-	// PathEngineReference is the default engine: the exact Dijkstra /
-	// Yen implementation whose outputs the plan fingerprints pin.
-	PathEngineReference = "reference"
-	// PathEngineALT is certified A* over landmark lower bounds: every
-	// query either provably reproduces the reference answer or is
-	// transparently re-run through the reference engine, so plans are
-	// bit-identical — only faster on goal-friendly topologies.
-	PathEngineALT = "alt"
-	// PathEngineBidirectional is certified bidirectional Dijkstra,
-	// with the same exact-or-fallback contract as PathEngineALT.
-	PathEngineBidirectional = "bidirectional"
-)
-
-// WithPathEngine selects the shortest-path solver used by every search
-// the plan issues: PathEngineReference (the default), PathEngineALT or
-// PathEngineBidirectional. The goal-directed engines are
-// certified-exact — a query they cannot prove bit-identical to the
-// reference engine's falls back to it — so the engine choice never
-// changes a plan, only how fast it is computed. An unknown name is
-// reported as an error when Plan runs.
-func WithPathEngine(name string) Option {
-	return func(c *config) { c.pathEngine, c.engineSet = name, true }
 }
 
 // WithPaths sets N, the number of energy-critical paths installed per
@@ -201,13 +172,6 @@ func (pl *Planner) Plan(ctx context.Context, t *Topology, opts ...Option) (*Plan
 	}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.engineSet {
-		eng, err := spf.ParseEngine(cfg.pathEngine)
-		if err != nil {
-			return nil, fmt.Errorf("response: %w", err)
-		}
-		cfg.core.PathEngine = eng
 	}
 	if cfg.warm != nil {
 		if fp := cfg.warm.Topology().Fingerprint(); fp != t.Fingerprint() {
