@@ -9,7 +9,7 @@
 //
 //	response-sim -fig 4|7|8a|8b|9|web|all
 //	response-sim -scenario diurnal|flash|storm|repair|click|replan|srlgstorm|chaos \
-//	             [-flows N] [-seed S] [-duration SECONDS] [-full] [-power] \
+//	             [-flows N] [-seed S] [-duration SECONDS] [-power] \
 //	             [-fail-rate R] [-chaos-seed S] [-trace events.jsonl|-]
 //
 // -fail-rate injects control-plane faults into the lifecycle replan
@@ -60,7 +60,6 @@ func main() {
 	flows := flag.Int("flows", 10000, "managed flows for -scenario runs")
 	seed := flag.Int64("seed", 1, "scenario seed (identical seed ⇒ identical result)")
 	duration := flag.Float64("duration", 6*3600, "simulated seconds for -scenario runs")
-	full := flag.Bool("full", false, "use the global reference allocator (cross-check mode)")
 	meter := flag.Bool("power", false, "meter power during the scenario")
 	failRate := flag.Float64("fail-rate", 0, "aggregate control-plane fault rate (0..1) for -scenario runs")
 	chaosSeed := flag.Int64("chaos-seed", 0, "fault-injection seed (default: scenario seed + 1)")
@@ -74,11 +73,10 @@ func main() {
 			os.Exit(2)
 		}
 		cfg := simulate.Scenario{
-			Seed:         *seed,
-			Flows:        *flows,
-			Duration:     *duration,
-			FullAllocate: *full,
-			Power:        *meter,
+			Seed:     *seed,
+			Flows:    *flows,
+			Duration: *duration,
+			Power:    *meter,
 		}
 		if *failRate < 0 || *failRate > 1 {
 			fmt.Fprintf(os.Stderr, "response-sim: -fail-rate %v outside [0, 1]\n", *failRate)

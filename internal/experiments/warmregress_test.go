@@ -10,8 +10,8 @@ import (
 )
 
 // TestWarmReplanNotSlowerFatTree6 pins the k=6 fat-tree warm-replan
-// regression once visible in BENCH_gen.json (warm 485 ms vs cold
-// 449 ms): when the warm seed cannot help — the repaired hint already
+// regression once visible in the generated scale sweep (warm 485 ms vs
+// cold 449 ms): when the warm seed cannot help — the repaired hint already
 // burns more power than the tolerance admits — the warm plan must bail
 // to the cold search early instead of paying for a doomed descent on
 // top of the cold plan. The pin is warm ≤ cold × 1.1 (min of three
@@ -67,5 +67,51 @@ func TestWarmReplanNotSlowerFatTree6(t *testing.T) {
 	t.Logf("cold %v warm %v identical=%v", cold, warm, coldFP == warmFP)
 	if warm > cold+cold/10 {
 		t.Fatalf("warm replan %v exceeds cold %v x 1.1", warm, cold)
+	}
+}
+
+// warmGateFatTree14 is the k=14 warm-replan latency bound; the cold
+// plan of the same instance takes 20–30 s.
+const warmGateFatTree14 = 2000 * time.Millisecond
+
+// BenchmarkWarmReplanFatTree14 is the planner scaling-wall gate:
+// replanning the k=14 fat-tree (245 switches, 20 endpoints) with
+// unchanged inputs, warm-started from its own cold plan, must finish
+// under warmGateFatTree14. The cold plan runs once, outside the timer;
+// each timed iteration is one strict warm replan, and the slowest one
+// is gated. It is a benchmark, not a test, so `go test ./...` does not
+// pay for the cold plan; run it with
+//
+//	go test -run '^$' -bench BenchmarkWarmReplanFatTree14 -benchtime=1x ./internal/experiments/
+func BenchmarkWarmReplanFatTree14(b *testing.B) {
+	cfg := topogen.Config{
+		Family: topogen.FamilyFatTree, Size: 14, Seed: 1,
+		PeakUtil: 0.5, MaxEndpoints: 20,
+	}
+	inst, err := topogen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	planner := response.NewPlanner(
+		response.WithEndpoints(inst.Endpoints),
+		response.WithRestarts(0),
+		response.WithSeed(cfg.Seed),
+	)
+	ctx := context.Background()
+	cold, err := planner.Plan(ctx, inst.Topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	var worst time.Duration
+	for b.Loop() {
+		start := time.Now()
+		if _, err := planner.Plan(ctx, inst.Topo, response.WithWarmStartStrict(cold)); err != nil {
+			b.Fatal(err)
+		}
+		worst = max(worst, time.Since(start))
+	}
+	if worst > warmGateFatTree14 {
+		b.Fatalf("warm replan took %v, gate is %v", worst, warmGateFatTree14)
 	}
 }

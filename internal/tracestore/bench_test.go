@@ -1,9 +1,9 @@
 package tracestore
 
-// Ingest and query benchmarks. BENCH_trace.json is recorded by
-// cmd/response-bench -trace (a 1M-event synthetic incident stream);
-// these cover the same paths at Go-bench granularity so -benchmem
-// regressions show up in the CI log.
+// Ingest and query benchmarks over a synthetic incident stream, at
+// Go-bench granularity so -benchmem regressions show up in the CI log.
+// The critical-path ranking they exercise is pinned by
+// TestCriticalPathRanking and TestE2ESRLGStormTrace.
 
 import (
 	"fmt"

@@ -145,7 +145,10 @@ func TestGeneratedCorpusDiffGreedy(t *testing.T) {
 // fingerprint-identical — or power-equal within the documented
 // tolerance with a byte-identical always-on stage, reported explicitly
 // — with zero invariant violations. This is the end-to-end proof that
-// incremental replans cannot drift.
+// incremental replans cannot drift. Each instance also replans for
+// demand drifted to peak (the matched matrix as d_low) warm-started
+// from the installed cold plan; the oracle does not apply to changed
+// inputs, but those tables must pass every invariant too.
 func TestGeneratedCorpusDiffWarmStart(t *testing.T) {
 	identical, powerEqual := 0, 0
 	var mu sync.Mutex
@@ -180,6 +183,11 @@ func TestGeneratedCorpusDiffWarmStart(t *testing.T) {
 						opts := verify.Opts{TM: inst.Shape, NetScale: inst.MaxScale}
 						if err := verify.CheckTables(inst.Topo, warm.Tables(), opts).Err(); err != nil {
 							t.Error(err)
+						}
+						drift := planInstance(t, inst,
+							response.WithLowMatrix(inst.TM), response.WithWarmStart(cold))
+						if err := verify.CheckTables(inst.Topo, drift.Tables(), opts).Err(); err != nil {
+							t.Errorf("drift-to-peak warm replan: %v", err)
 						}
 					})
 				}
